@@ -336,6 +336,21 @@ func synthPlan(b *testing.B, maxPairs int) *core.Plan {
 	return plan
 }
 
+// BenchmarkPrepareSynth1k measures instance set-up at 1000 nodes:
+// Waxman generation, the gravity matrix, top-100 pair selection,
+// tunnel selection and demand scaling (run with -benchmem).
+func BenchmarkPrepareSynth1k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := eval.Prepare(eval.Options{
+			Synth: "waxman", SynthNodes: 1000, Seed: 1,
+			MaxPairs: 100, FailureBudget: 1,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveSynth1k measures a PCF-TF solve on the 1000-node
 // synthetic Waxman topology through the sparse basis factorization.
 func BenchmarkSolveSynth1k(b *testing.B) {

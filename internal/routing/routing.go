@@ -423,6 +423,13 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 				a, topology.LinkOf(topology.ArcID(a)), r.ArcLoad[a], c, r.Scenario)
 		}
 	}
+	// sink[d] is minus the scaled demand destined to d: what node d
+	// ships in its own destination's flow. One pass over the demand
+	// pairs, in their order, serves every destination.
+	sink := make([]float64, g.NumNodes())
+	for _, p := range in.DemandPairs() {
+		sink[p.Dst] -= plan.ScaledDemand(p)
+	}
 	for dst, flows := range r.TunnelTo {
 		// Node balance over the pair-level flow: tunnel l of pair
 		// (i,j) is an edge i->j carrying flows[l].
@@ -434,15 +441,9 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 		}
 		for v := 0; v < g.NumNodes(); v++ {
 			node := topology.NodeID(v)
-			want := 0.0
+			want := sink[dst]
 			if node != dst {
 				want = plan.ScaledDemand(topology.Pair{Src: node, Dst: dst})
-			} else {
-				for _, p := range in.DemandPairs() {
-					if p.Dst == dst {
-						want -= plan.ScaledDemand(p)
-					}
-				}
 			}
 			if math.Abs(net[v]-want) > 1e-6 {
 				return fmt.Errorf("routing: destination %d node %d ships %g, want %g under %v",

@@ -6,6 +6,7 @@ package traffic
 
 import (
 	"bufio"
+	"container/heap"
 	"fmt"
 	"io"
 	"math"
@@ -77,42 +78,83 @@ func (m *Matrix) Pairs(threshold float64) []topology.Pair {
 	return out
 }
 
-// TopPairs returns the k highest-demand pairs (all pairs if k <= 0 or
-// k exceeds the number of positive-demand pairs).
+// TopPairs returns the k highest-demand pairs in Pairs(0)'s order (all
+// pairs if k <= 0 or k exceeds the number of positive-demand pairs).
+// One pass over the matrix keeps the k best pairs in a bounded heap,
+// one comparison per pair plus a heap update per eviction, and only
+// those k are sorted. When k reaches the number of positive-demand
+// pairs the heap never evicts and this is Pairs(0)'s full sort.
 func (m *Matrix) TopPairs(k int) []topology.Pair {
-	pairs := m.Pairs(0)
-	if k > 0 && k < len(pairs) {
-		pairs = pairs[:k]
+	if k <= 0 {
+		return m.Pairs(0)
 	}
-	return pairs
+	h := &worstFirst{m: m}
+	for s := range m.Demand {
+		for t, v := range m.Demand[s] {
+			if s != t && v > 0 {
+				h.offer(topology.Pair{Src: topology.NodeID(s), Dst: topology.NodeID(t)}, k)
+			}
+		}
+	}
+	sortPairsByDemand(h.pairs, m)
+	return h.pairs
+}
+
+// worstFirst is a heap of pairs whose root is the pair ranked last by
+// demandBefore: the one TopPairs evicts when a better pair arrives.
+type worstFirst struct {
+	m     *Matrix
+	pairs []topology.Pair
+}
+
+func (h *worstFirst) Len() int           { return len(h.pairs) }
+func (h *worstFirst) Less(i, j int) bool { return demandBefore(h.m, h.pairs[j], h.pairs[i]) }
+func (h *worstFirst) Swap(i, j int)      { h.pairs[i], h.pairs[j] = h.pairs[j], h.pairs[i] }
+
+// offer admits p if the heap holds fewer than k pairs or p ranks before
+// the worst pair kept, which it then evicts.
+func (h *worstFirst) offer(p topology.Pair, k int) {
+	switch {
+	case len(h.pairs) < k:
+		h.pairs = append(h.pairs, p)
+		if len(h.pairs) == k {
+			heap.Init(h)
+		}
+	case demandBefore(h.m, p, h.pairs[0]):
+		h.pairs[0] = p
+		heap.Fix(h, 0)
+	}
+}
+
+// Push and Pop satisfy heap.Interface; TopPairs only calls Init and
+// Fix, which never grow or shrink the heap.
+func (h *worstFirst) Push(x any) { h.pairs = append(h.pairs, x.(topology.Pair)) }
+func (h *worstFirst) Pop() any {
+	last := h.pairs[len(h.pairs)-1]
+	h.pairs = h.pairs[:len(h.pairs)-1]
+	return last
+}
+
+// demandBefore is the total order of Pairs and TopPairs: descending
+// demand, then ascending source, then ascending destination. Both
+// callers admit only demands above a threshold, never NaN, so the order
+// is total and an unstable sort is still deterministic.
+func demandBefore(m *Matrix, a, b topology.Pair) bool {
+	da, db := m.At(a), m.At(b)
+	if db < da {
+		return true
+	}
+	if da < db {
+		return false
+	}
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	return a.Dst < b.Dst
 }
 
 func sortPairsByDemand(pairs []topology.Pair, m *Matrix) {
-	// Insertion-stable sort by descending demand then pair order.
-	lessKey := func(p topology.Pair) (float64, int32, int32) {
-		return -m.At(p), int32(p.Src), int32(p.Dst)
-	}
-	sortSlice(pairs, func(a, b topology.Pair) bool {
-		da, sa, ta := lessKey(a)
-		db, sb, tb := lessKey(b)
-		if da < db {
-			return true
-		}
-		if db < da {
-			return false
-		}
-		if sa != sb {
-			return sa < sb
-		}
-		return ta < tb
-	})
-}
-
-func sortSlice(p []topology.Pair, less func(a, b topology.Pair) bool) {
-	// The comparator is a total order (demand, then src, then dst), so
-	// an unstable sort is still deterministic. Synthetic topologies put
-	// ~n² positive pairs here; insertion sort does not survive that.
-	sort.Slice(p, func(i, j int) bool { return less(p[i], p[j]) })
+	sort.Slice(pairs, func(i, j int) bool { return demandBefore(m, pairs[i], pairs[j]) })
 }
 
 // Restrict zeroes all demands not in keep and returns the copy.

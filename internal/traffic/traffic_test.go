@@ -2,10 +2,13 @@ package traffic
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"pcf/internal/topology"
+	"pcf/internal/topozoo"
 )
 
 func ring(n int) *topology.Graph {
@@ -98,6 +101,82 @@ func TestPairsSortedByDemand(t *testing.T) {
 	top := m.TopPairs(2)
 	if len(top) != 2 || top[0] != (topology.Pair{Src: 1, Dst: 2}) {
 		t.Fatalf("top pairs %v", top)
+	}
+}
+
+// topPairsFullSort is TopPairs before the bounded heap: sort every
+// positive pair and keep the first k. TopPairs must match it exactly.
+func topPairsFullSort(m *Matrix, k int) []topology.Pair {
+	pairs := m.Pairs(0)
+	if k > 0 && k < len(pairs) {
+		pairs = pairs[:k]
+	}
+	return pairs
+}
+
+func checkTopPairs(t *testing.T, m *Matrix, ks ...int) {
+	t.Helper()
+	for _, k := range ks {
+		if got, want := m.TopPairs(k), topPairsFullSort(m, k); !slices.Equal(got, want) {
+			t.Fatalf("n=%d k=%d: TopPairs = %v, full sort %v", m.N(), k, got, want)
+		}
+	}
+}
+
+// TestTopPairsMatchesFullSort: on matrices full of ties and zeros, with
+// NaN, negative, infinite and diagonal entries that admission must
+// skip, the heap selection returns the full sort's prefix for every k
+// around the number of positive pairs.
+func TestTopPairsMatchesFullSort(t *testing.T) {
+	checkTopPairs(t, NewMatrix(4), -1, 0, 1, 5)
+	checkTopPairs(t, Uniform(ring(9), 2.5), -1, 0, 1, 71, 72, 77, 30)
+	rng := rand.New(rand.NewSource(7))
+	vals := []float64{0, 0, 0, 1, 2, 2, 2, 3.5, 1e-300, math.Inf(1), math.NaN(), -1}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(16)
+		m := NewMatrix(n)
+		for s := range m.Demand {
+			for d := range m.Demand[s] {
+				if rng.Intn(4) == 0 {
+					m.Demand[s][d] = rng.Float64()
+				} else {
+					m.Demand[s][d] = vals[rng.Intn(len(vals))]
+				}
+			}
+		}
+		count := len(m.Pairs(0))
+		checkTopPairs(t, m, -1, 0, 1, count-1, count, count+5, 1+rng.Intn(count+1))
+	}
+}
+
+// synth1kMatrix is the gravity matrix eval.Prepare builds for the
+// 1000-node Waxman instance, seed 1.
+func synth1kMatrix(tb testing.TB) *Matrix {
+	tb.Helper()
+	g, err := topozoo.Synth("waxman", 1000, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, _ = g.PruneDegreeOne()
+	return Gravity(g, GravityOptions{Seed: 1, Jitter: 0.4})
+}
+
+// TestTopPairsSynth1k: pair selection at 1000 nodes is byte-identical
+// to the full sort.
+func TestTopPairsSynth1k(t *testing.T) {
+	checkTopPairs(t, synth1kMatrix(t), 150)
+}
+
+// BenchmarkTopPairs1k selects the 150 highest pairs of the 1000-node
+// gravity matrix.
+func BenchmarkTopPairs1k(b *testing.B) {
+	m := synth1kMatrix(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(m.TopPairs(150)) != 150 {
+			b.Fatal("short selection")
+		}
 	}
 }
 

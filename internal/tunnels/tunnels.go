@@ -163,13 +163,14 @@ func Select(g *topology.Graph, pairs []topology.Pair, opts SelectOptions) (*Set,
 		penalty = 16
 	}
 	set := NewSet(g)
+	res := newResidual(g)
 	for _, pair := range pairs {
 		// Phase 1: a maximum set of link-disjoint paths (up to
 		// PerPair), found by successive shortest augmenting paths in
 		// the unit-capacity residual graph (Suurballe-style, so two
 		// disjoint tunnels exist whenever the graph is 2-edge-
 		// connected, matching the paper's setup).
-		chosen := disjointPaths(g, pair, opts.PerPair)
+		chosen := disjointPaths(res, pair, opts.PerPair)
 		numDisjoint := len(chosen)
 		used := make(map[topology.LinkID]int)
 		for _, p := range chosen {
@@ -259,50 +260,68 @@ func (s *Set) Restrict(k int) *Set {
 	return out
 }
 
+// residual is disjointPaths' scratch state over one graph: link ends
+// and weights read once into a compact per-link table, and buffers
+// reused across augmentations and pairs so the Bellman-Ford passes
+// allocate nothing.
+type residual struct {
+	g       *topology.Graph
+	links   []resLink // indexed by LinkID
+	usage   []int8    // per link: 0 unused, +1 forward arc used, -1 reverse
+	dist    []float64
+	prevArc []topology.ArcID
+}
+
+// resLink is a link as the Bellman-Ford passes read it. Link l's
+// forward arc 2l runs a->b, its reverse arc 2l+1 b->a.
+type resLink struct {
+	a, b   topology.NodeID
+	weight float64
+}
+
+func newResidual(g *topology.Graph) *residual {
+	r := &residual{
+		g:       g,
+		links:   make([]resLink, g.NumLinks()),
+		usage:   make([]int8, g.NumLinks()),
+		dist:    make([]float64, g.NumNodes()),
+		prevArc: make([]topology.ArcID, g.NumNodes()),
+	}
+	for i, l := range g.Links() {
+		r.links[i] = resLink{a: l.A, b: l.B, weight: l.Weight}
+	}
+	return r
+}
+
 // disjointPaths computes up to k link-disjoint src->dst paths of small
 // total length via successive shortest augmenting paths on the
 // unit-capacity (per link) residual graph. Reversing a used link has
-// negative cost, so Bellman-Ford finds the augmenting paths.
-func disjointPaths(g *topology.Graph, pair topology.Pair, k int) []topology.Path {
-	n := g.NumNodes()
-	// usage[l]: 0 = unused, +1 = used in forward arc dir, -1 = reverse.
-	usage := make(map[topology.LinkID]int)
+// negative cost, so Bellman-Ford finds the augmenting paths. Each pass
+// relaxes arcs in link-ID order, forward before reverse, and ties keep
+// the first arc found, so the paths depend on that order; DESIGN.md §8
+// says why this is not Dijkstra.
+func disjointPaths(r *residual, pair topology.Pair, k int) []topology.Path {
+	g, usage, dist, prevArc := r.g, r.usage, r.dist, r.prevArc
+	clear(usage)
 	flows := 0
 	for flows < k {
-		// Bellman-Ford over residual arcs.
-		dist := make([]float64, n)
-		prevArc := make([]topology.ArcID, n)
 		for i := range dist {
 			dist[i] = math.Inf(1)
 			prevArc[i] = -1
 		}
 		dist[pair.Src] = 0
-		for iter := 0; iter < n; iter++ {
+		for iter := 0; iter < len(dist); iter++ {
 			improved := false
-			for li := 0; li < g.NumLinks(); li++ {
-				l := g.Link(topology.LinkID(li))
-				for _, arc := range []topology.ArcID{l.Forward(), l.Reverse()} {
-					from, to := g.ArcEnds(arc)
-					var cost float64
-					switch usage[l.ID] {
-					case 0:
-						cost = l.Weight // either direction available
-					case +1:
-						if arc != l.Reverse() {
-							continue // only cancellation allowed
-						}
-						cost = -l.Weight
-					case -1:
-						if arc != l.Forward() {
-							continue
-						}
-						cost = -l.Weight
-					}
-					if dist[from]+cost < dist[to]-1e-12 {
-						dist[to] = dist[from] + cost
-						prevArc[to] = arc
-						improved = true
-					}
+			for li, l := range r.links {
+				fwd := topology.ArcID(2 * li)
+				switch usage[li] {
+				case 0: // either direction available
+					improved = relax(dist, prevArc, l.a, l.b, l.weight, fwd) || improved
+					improved = relax(dist, prevArc, l.b, l.a, l.weight, fwd+1) || improved
+				case +1: // only cancellation allowed
+					improved = relax(dist, prevArc, l.b, l.a, -l.weight, fwd+1) || improved
+				case -1:
+					improved = relax(dist, prevArc, l.a, l.b, -l.weight, fwd) || improved
 				}
 			}
 			if !improved {
@@ -312,11 +331,11 @@ func disjointPaths(g *topology.Graph, pair topology.Pair, k int) []topology.Path
 		if prevArc[pair.Dst] == -1 {
 			break // no more disjoint paths
 		}
-		// Apply the augmenting path to the usage map.
+		// Apply the augmenting path to the usage slice.
 		for at := pair.Dst; at != pair.Src; {
 			arc := prevArc[at]
 			l := topology.LinkOf(arc)
-			dir := +1
+			dir := int8(+1)
 			if arc == g.Link(l).Reverse() {
 				dir = -1
 			}
@@ -325,31 +344,24 @@ func disjointPaths(g *topology.Graph, pair topology.Pair, k int) []topology.Path
 			} else {
 				usage[l] = dir
 			}
-			from, _ := g.ArcEnds(arc)
-			at = from
+			at, _ = g.ArcEnds(arc)
 		}
 		flows++
 	}
 	if flows == 0 {
 		return nil
 	}
-	// Decompose the flow into paths by walking from src. Iterate links
-	// in ID order so the decomposition (and therefore tunnel selection)
+	// Decompose the flow into paths by walking from src. Scan links in
+	// ID order so the decomposition (and therefore tunnel selection)
 	// is deterministic.
-	usedLinks := make([]topology.LinkID, 0, len(usage))
-	for l := range usage {
-		usedLinks = append(usedLinks, l)
-	}
-	sort.Slice(usedLinks, func(i, j int) bool { return usedLinks[i] < usedLinks[j] })
 	outArcs := map[topology.NodeID][]topology.ArcID{}
-	for _, l := range usedLinks {
-		dir := usage[l]
+	for li, dir := range usage {
 		if dir == 0 {
 			continue
 		}
-		arc := g.Link(l).Forward()
+		arc := g.Link(topology.LinkID(li)).Forward()
 		if dir == -1 {
-			arc = g.Link(l).Reverse()
+			arc = g.Link(topology.LinkID(li)).Reverse()
 		}
 		from, _ := g.ArcEnds(arc)
 		outArcs[from] = append(outArcs[from], arc)
@@ -366,11 +378,25 @@ func disjointPaths(g *topology.Graph, pair topology.Pair, k int) []topology.Path
 			arc := list[0]
 			outArcs[at] = list[1:]
 			arcs = append(arcs, arc)
-			_, to := g.ArcEnds(arc)
-			at = to
+			_, at = g.ArcEnds(arc)
 		}
 		paths = append(paths, topology.Path{Arcs: arcs})
 	}
 	sort.SliceStable(paths, func(i, j int) bool { return len(paths[i].Arcs) < len(paths[j].Arcs) })
 	return paths
+}
+
+// relax is one Bellman-Ford step along arc from->to. A node still at
+// +Inf is skipped: Inf+cost never passes the strict test below.
+func relax(dist []float64, prevArc []topology.ArcID, from, to topology.NodeID, cost float64, arc topology.ArcID) bool {
+	d := dist[from]
+	if math.IsInf(d, 1) {
+		return false
+	}
+	if d+cost < dist[to]-1e-12 {
+		dist[to] = d + cost
+		prevArc[to] = arc
+		return true
+	}
+	return false
 }

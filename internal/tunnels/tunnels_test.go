@@ -1,11 +1,17 @@
 package tunnels
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"pcf/internal/topology"
+	"pcf/internal/topozoo"
+	"pcf/internal/traffic"
 )
 
 func diamond() *topology.Graph {
@@ -160,5 +166,228 @@ func TestParallelLinksAsDisjointTunnels(t *testing.T) {
 	if len(s.ForPair(pair)) != 2 || s.MaxShared(pair) != 1 {
 		t.Fatalf("parallel links should give 2 disjoint tunnels (got %d, shared %d)",
 			len(s.ForPair(pair)), s.MaxShared(pair))
+	}
+}
+
+// disjointPathsOracle is the map-based successive-shortest-path
+// Bellman-Ford that disjointPaths replaced, kept verbatim as the
+// reference: the rewrite must return the same paths, arc for arc.
+func disjointPathsOracle(g *topology.Graph, pair topology.Pair, k int) []topology.Path {
+	n := g.NumNodes()
+	usage := make(map[topology.LinkID]int)
+	flows := 0
+	for flows < k {
+		dist := make([]float64, n)
+		prevArc := make([]topology.ArcID, n)
+		for i := range dist {
+			dist[i] = math.Inf(1)
+			prevArc[i] = -1
+		}
+		dist[pair.Src] = 0
+		for iter := 0; iter < n; iter++ {
+			improved := false
+			for li := 0; li < g.NumLinks(); li++ {
+				l := g.Link(topology.LinkID(li))
+				for _, arc := range []topology.ArcID{l.Forward(), l.Reverse()} {
+					from, to := g.ArcEnds(arc)
+					var cost float64
+					switch usage[l.ID] {
+					case 0:
+						cost = l.Weight
+					case +1:
+						if arc != l.Reverse() {
+							continue
+						}
+						cost = -l.Weight
+					case -1:
+						if arc != l.Forward() {
+							continue
+						}
+						cost = -l.Weight
+					}
+					if dist[from]+cost < dist[to]-1e-12 {
+						dist[to] = dist[from] + cost
+						prevArc[to] = arc
+						improved = true
+					}
+				}
+			}
+			if !improved {
+				break
+			}
+		}
+		if prevArc[pair.Dst] == -1 {
+			break
+		}
+		for at := pair.Dst; at != pair.Src; {
+			arc := prevArc[at]
+			l := topology.LinkOf(arc)
+			dir := +1
+			if arc == g.Link(l).Reverse() {
+				dir = -1
+			}
+			if usage[l] == -dir {
+				usage[l] = 0
+			} else {
+				usage[l] = dir
+			}
+			from, _ := g.ArcEnds(arc)
+			at = from
+		}
+		flows++
+	}
+	if flows == 0 {
+		return nil
+	}
+	usedLinks := make([]topology.LinkID, 0, len(usage))
+	for l := range usage {
+		usedLinks = append(usedLinks, l)
+	}
+	sort.Slice(usedLinks, func(i, j int) bool { return usedLinks[i] < usedLinks[j] })
+	outArcs := map[topology.NodeID][]topology.ArcID{}
+	for _, l := range usedLinks {
+		dir := usage[l]
+		if dir == 0 {
+			continue
+		}
+		arc := g.Link(l).Forward()
+		if dir == -1 {
+			arc = g.Link(l).Reverse()
+		}
+		from, _ := g.ArcEnds(arc)
+		outArcs[from] = append(outArcs[from], arc)
+	}
+	var paths []topology.Path
+	for f := 0; f < flows; f++ {
+		var arcs []topology.ArcID
+		at := pair.Src
+		for at != pair.Dst {
+			list := outArcs[at]
+			if len(list) == 0 {
+				return paths
+			}
+			arc := list[0]
+			outArcs[at] = list[1:]
+			arcs = append(arcs, arc)
+			_, to := g.ArcEnds(arc)
+			at = to
+		}
+		paths = append(paths, topology.Path{Arcs: arcs})
+	}
+	sort.SliceStable(paths, func(i, j int) bool { return len(paths[i].Arcs) < len(paths[j].Arcs) })
+	return paths
+}
+
+func samePaths(a, b []topology.Path) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !samePath(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// synth1k is the planner's 1000-node instance as eval.Prepare builds
+// it: Waxman graph seed 1 with degree-one nodes pruned, and the 150
+// highest pairs of its seed-1 gravity matrix.
+func synth1k(tb testing.TB) (*topology.Graph, []topology.Pair) {
+	tb.Helper()
+	g, err := topozoo.Synth("waxman", 1000, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, _ = g.PruneDegreeOne()
+	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 1, Jitter: 0.4})
+	return g, tm.TopPairs(150)
+}
+
+// checkDisjointMatchesOracle runs both Bellman-Fords over pairs for
+// each k, reusing one residual across all calls as Select does.
+func checkDisjointMatchesOracle(t *testing.T, g *topology.Graph, pairs []topology.Pair, ks []int) {
+	t.Helper()
+	r := newResidual(g)
+	for _, k := range ks {
+		for _, p := range pairs {
+			got, want := disjointPaths(r, p, k), disjointPathsOracle(g, p, k)
+			if !samePaths(got, want) {
+				t.Fatalf("%s %v k=%d: disjointPaths = %v, oracle %v", g.Name, p, k, got, want)
+			}
+		}
+	}
+}
+
+// TestDisjointPathsMatchesOracle: on every topozoo topology, for all
+// of its gravity demand pairs, and on the 1000-node synthetic
+// instance's selected pairs, the slice-based Bellman-Ford returns
+// exactly the map-based one's paths.
+func TestDisjointPathsMatchesOracle(t *testing.T) {
+	for _, name := range topozoo.Names() {
+		g, err := topozoo.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := traffic.Gravity(g, traffic.GravityOptions{Seed: 1, Jitter: 0.4}).Pairs(0)
+		checkDisjointMatchesOracle(t, g, pairs, []int{2, 3, 4})
+	}
+	g, pairs := synth1k(t)
+	checkDisjointMatchesOracle(t, g, pairs, []int{3})
+}
+
+// setDigest hashes every tunnel of s in ID order: its ID, pair and
+// arcs.
+func setDigest(s *Set) string {
+	h := sha256.New()
+	for id := 0; id < s.Len(); id++ {
+		tn := s.Tunnel(ID(id))
+		fmt.Fprintf(h, "%d %v %v\n", tn.ID, tn.Pair, tn.Path.Arcs)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestSelectGolden pins Select's output on Sprint (all pairs) and on
+// the 1000-node synthetic instance (150 pairs), three tunnels per
+// pair. The digests were recorded when Select still ran the map-based
+// Bellman-Ford (disjointPathsOracle), so they hold the rewrite to
+// identical tunnels: same pairs, IDs and arcs.
+func TestSelectGolden(t *testing.T) {
+	sprint, err := topozoo.Load("Sprint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sprint, _ = sprint.PruneDegreeOne()
+	synth, synthPairs := synth1k(t)
+	for _, tc := range []struct {
+		g       *topology.Graph
+		pairs   []topology.Pair
+		tunnels int
+		digest  string
+	}{
+		{sprint, sprint.AllPairs(), 270, "2e5c2ab66d676a7a7414a1557d7673693bc247df6b5d48261a57389ede50d860"},
+		{synth, synthPairs, 450, "ca28f67ee45d07a1cfbe8bef8b85e44ee296688d32110fd454c420567b1efc97"},
+	} {
+		s, err := Select(tc.g, tc.pairs, SelectOptions{PerPair: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != tc.tunnels || setDigest(s) != tc.digest {
+			t.Errorf("%s: Select gave %d tunnels, digest %s; want %d, %s",
+				tc.g.Name, s.Len(), setDigest(s), tc.tunnels, tc.digest)
+		}
+	}
+}
+
+// BenchmarkSelect1k selects three tunnels for each of the 1000-node
+// synthetic instance's 150 pairs.
+func BenchmarkSelect1k(b *testing.B) {
+	g, pairs := synth1k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Select(g, pairs, SelectOptions{PerPair: 3}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
